@@ -281,6 +281,8 @@ class StdlibDecodeBackend(DecodeBackend):
         bo = "<" if data[:2] == b"II" else ">"
         (ifd,) = struct.unpack(bo + "I", data[4:8])
         (n,) = struct.unpack(bo + "H", data[ifd : ifd + 2])
+        if ifd + 2 + 12 * n > len(data):
+            raise ValueError(f"TIFF IFD of {n} entries runs past end of data")
         tags: dict[int, list[int]] = {}
         type_size = {1: 1, 2: 1, 3: 2, 4: 4, 5: 8, 7: 1}
         type_fmt = {1: "B", 3: "H", 4: "I", 7: "B"}
@@ -297,6 +299,13 @@ class StdlibDecodeBackend(DecodeBackend):
                 (voff,) = struct.unpack(
                     bo + "I", data[ifd + 10 + 12 * k : ifd + 14 + 12 * k]
                 )
+                # bound the count by the data before struct.unpack sizes
+                # its format (a corrupt count would otherwise ask for GBs)
+                if voff + nbytes > len(data):
+                    raise ValueError(
+                        f"TIFF tag {tag} value ({cnt} items at {voff}) "
+                        "runs past end of data"
+                    )
                 raw = data[voff : voff + nbytes]
             tags[tag] = list(struct.unpack(bo + type_fmt[typ] * cnt, raw))
         w, h = tags[256][0], tags[257][0]

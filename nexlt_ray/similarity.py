@@ -9,9 +9,12 @@
   * embedding-cosine near-dup — all pairs with cosine >= tau via the same
     bucket structure.
 
-All kernels compute in float64 (embeddings upcast) so results match DuckDB's
-double arithmetic; outputs round similarity to 6 decimals with integer-exact
-tie-breaks (vec_id ascending).
+All kernels compute in float64 (embeddings upcast) and return the raw
+float64 cosine, correct to within float64 dot-product rounding but not
+bit-identical across evaluation orders (BLAS rounds by operand shape and
+DuckDB sums in its own order); ties break on vec_id ascending. The pipeline
+entries round sim to 6 decimals (`sim_e6`), and the DuckDB oracle compares
+that rounded value.
 """
 
 from __future__ import annotations
@@ -213,7 +216,8 @@ def cosine_near_dup_pairs(ds, tau: float = 0.95, nbits: int = 8, concurrency: in
 
 def _normalize_block(batch: pa.Table) -> pa.Table:
     """vec_id + unit-normalized embedding as list<double> (float64 so the
-    downstream dot products match DuckDB's double cosine exactly)."""
+    downstream dot products are DuckDB's double cosine to within float64
+    dot-product rounding, not bit-for-bit)."""
     m = _normalize(_matrix_of(batch))
     n, dim = m.shape
     emb = pa.ListArray.from_arrays(

@@ -11,7 +11,7 @@ reconstruction bounds for lossy JPEG). No Ray needed.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nexlt_ray.gif import decode_gif, decode_gif_frames, encode_gif
@@ -989,6 +989,8 @@ def test_tiff_malformed_compressed_streams_raise_valueerror():
 @given(cut=st.integers(0, 4000), flip=st.integers(0, 2**31),
        comp=st.sampled_from(["none", "lzw", "deflate", "packbits", "jpeg"]),
        seed=st.integers(0, 3))
+# flips the high byte of the predictor tag's count: ~1.2e9 entries
+@example(cut=0, flip=19073, comp="lzw", seed=0)
 def test_backend_malformed_images_raise_valueerror(cut, flip, comp, seed):
     """The backend-wide contract: decode_image is ValueError-only on any
     malformed stream, across every TIFF compression (and transitively

@@ -2,6 +2,8 @@
 normalization, text analytics, dedup family, similarity search, multimodal
 plumbing (SURVEY.md §2.3 M-ops + graft extensions)."""
 
+from fractions import Fraction
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -326,9 +328,32 @@ def test_cosine_near_dup(ray_session):
     assert [7, 100] in pairs[["vec_a", "vec_b"]].values.tolist()
 
 
+def _exact_dot(x, y):
+    """Exact rational value of the dot product of two float64 vectors."""
+    return sum(Fraction(p) * Fraction(q) for p, q in zip(x, y))
+
+
+def _gamma(d):
+    """gamma_d = d*u / (1 - d*u) with u = 2**-53, exactly."""
+    return Fraction(d, 2**53 - d)
+
+
+def _dot_error_bound(x, y):
+    """Forward error bound of a float64 dot product in any summation order,
+    FMA included: gamma_d * sum|x_i||y_i| (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 3.1, eq. (3.5))."""
+    return _gamma(len(x)) * sum(abs(Fraction(p) * Fraction(q)) for p, q in zip(x, y))
+
+
 def test_exact_cosine_pairs_multichunk(ray_session):
     """exact_cosine_pairs == brute-force numpy pair set, including pairs that
-    span chunks (tiny target_chunk_rows forces the cross-chunk task path)."""
+    span chunks (tiny target_chunk_rows forces the cross-chunk task path),
+    and every sim is the float64 cosine of the two stored unit vectors.
+
+    The program's chunk matmuls and this test's 150x150 matmul are
+    different BLAS calls whose rounding depends on operand shape, so sims
+    are checked against the exact rational dot product within the float64
+    dot-product error bound, not against one BLAS call's last bit."""
     import ray.data
 
     t, m = _rand_embeddings(150, 16)
@@ -336,6 +361,16 @@ def test_exact_cosine_pairs_multichunk(ray_session):
     n = m.astype(np.float32).astype(np.float64)
     n = n / np.linalg.norm(n, axis=1, keepdims=True)
     sims = n @ n.T
+    # the pair set is well-defined only if no pair sits at tau within
+    # rounding: |sims - exact| <= bound <= gamma_d * (1 + eps) for unit
+    # rows, so a pair with |sims - 0.5| > 4 * gamma_d is > 2 * bound away
+    # from tau = 0.5 exactly; the rest are checked exactly
+    near = np.abs(sims - 0.5) <= 4 * float(_gamma(n.shape[1]))
+    for x, y in zip(*np.nonzero(near)):
+        if x < y:
+            assert abs(_exact_dot(n[x], n[y]) - Fraction(0.5)) > 2 * (
+                _dot_error_bound(n[x], n[y])
+            ), ("fixture pair at tau within rounding", x, y)
     a, b = np.nonzero(sims >= 0.5)
     expect = sorted((int(x), int(y)) for x, y in zip(a, b) if x < y)
     assert expect, "fixture must contain at least one qualifying pair"
@@ -344,9 +379,10 @@ def test_exact_cosine_pairs_multichunk(ray_session):
     ).to_pandas()
     got_pairs = sorted(map(tuple, got[["vec_a", "vec_b"]].values.tolist()))
     assert got_pairs == expect
-    # values match numpy float64 cosine bit-for-bit
+    # values are the float64 cosine within dot-product rounding
     for (va, vb), s in zip(got_pairs, got.sort_values(["vec_a", "vec_b"])["sim"]):
-        assert s == sims[va, vb]
+        err = abs(Fraction(s) - _exact_dot(n[va], n[vb]))
+        assert err <= _dot_error_bound(n[va], n[vb]), (va, vb, s)
 
 
 # ---------------------------------------------------------------------------
